@@ -3,10 +3,13 @@
 Two regimes, switched on |z|:
 
 * ``|z| <= 8``  -- Maclaurin series.  The two entire solutions f, g grow like
-  exp(2/3 |z|^{3/2}) while Ai = c1 f - c2 g can be exponentially small, so the
-  series is accumulated in double-double arithmetic; the compensated sums keep
-  the relative error of the small combination at the 1e-15 level throughout
-  the disk (plain doubles lose ~9 digits at |z| = 8).
+  exp(2/3 |z|^{3/2}) while Ai = c1 f - c2 g can be exponentially small (plain
+  doubles lose ~9 digits at |z| = 8), so the series is summed in fixed
+  point: z, the terms and the sums are Python integers over a power of two
+  of at least 2^128, the cancellation in c1 f -/+ c2 g happens exactly in
+  integers, and each result is rounded to double once.  The error of each
+  of Ai, Ai', Bi, Bi' stays below 1e-15 of max(|X|, |X'|) (X = Ai or Bi)
+  throughout the disk.
 * ``|z| > 8``  -- Poincare asymptotic expansions, truncated at the smallest
   term.  Direct evaluation is restricted to |arg z| <= 2pi/3; everything else
   is assembled from the rotation identities
@@ -26,7 +29,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import OverflowSignal
+from .errors import DomainError, OverflowSignal
 
 SWITCH_RADIUS = 8.0
 
@@ -44,7 +47,6 @@ _EIP6 = cmath.exp(1j * math.pi / 6)
 _EXP_LIMIT = 700.0
 
 _HALF_SQRT_PI = 0.5 / math.sqrt(math.pi)
-_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -62,163 +64,123 @@ class AiryQuad:
 
 
 # ---------------------------------------------------------------------------
-# double-double helpers (Dekker/Knuth error-free transforms)
-# ---------------------------------------------------------------------------
-
-def _two_sum(a: float, b: float):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _quick_two_sum(a: float, b: float):
-    s = a + b
-    return s, b - (s - a)
-
-
-_SPLITTER = 134217729.0  # 2^27 + 1
-
-
-def _two_prod(a: float, b: float):
-    p = a * b
-    t = _SPLITTER * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLITTER * b
-    bh = t - (t - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_add(ahi, alo, bhi, blo):
-    s1, s2 = _two_sum(ahi, bhi)
-    t1, t2 = _two_sum(alo, blo)
-    s2 += t1
-    s1, s2 = _quick_two_sum(s1, s2)
-    s2 += t2
-    return _quick_two_sum(s1, s2)
-
-
-def _dd_mul(ahi, alo, bhi, blo):
-    p1, p2 = _two_prod(ahi, bhi)
-    p2 += ahi * blo + alo * bhi
-    return _quick_two_sum(p1, p2)
-
-
-def _dd_scale(ahi, alo, s: float):
-    p1, p2 = _two_prod(ahi, s)
-    p2 += alo * s
-    return _quick_two_sum(p1, p2)
-
-
-def _dd_div(ahi, alo, b: float):
-    q1 = ahi / b
-    p1, p2 = _two_prod(q1, b)
-    s, e = _two_sum(ahi, -p1)
-    q2 = (s + (e + alo - p2)) / b
-    return _quick_two_sum(q1, q2)
-
-
-# complex double-double: 4-tuple (re_hi, re_lo, im_hi, im_lo)
-
-def _cdd(z: complex):
-    return (z.real, 0.0, z.imag, 0.0)
-
-
-def _cdd_add(a, b):
-    rhi, rlo = _dd_add(a[0], a[1], b[0], b[1])
-    ihi, ilo = _dd_add(a[2], a[3], b[2], b[3])
-    return (rhi, rlo, ihi, ilo)
-
-
-def _cdd_mul(a, b):
-    pr1 = _dd_mul(a[0], a[1], b[0], b[1])
-    pr2 = _dd_mul(a[2], a[3], b[2], b[3])
-    pi1 = _dd_mul(a[0], a[1], b[2], b[3])
-    pi2 = _dd_mul(a[2], a[3], b[0], b[1])
-    rhi, rlo = _dd_add(pr1[0], pr1[1], -pr2[0], -pr2[1])
-    ihi, ilo = _dd_add(pi1[0], pi1[1], pi2[0], pi2[1])
-    return (rhi, rlo, ihi, ilo)
-
-
-def _cdd_scale(a, s: float):
-    rhi, rlo = _dd_scale(a[0], a[1], s)
-    ihi, ilo = _dd_scale(a[2], a[3], s)
-    return (rhi, rlo, ihi, ilo)
-
-
-def _cdd_div(a, b: float):
-    rhi, rlo = _dd_div(a[0], a[1], b)
-    ihi, ilo = _dd_div(a[2], a[3], b)
-    return (rhi, rlo, ihi, ilo)
-
-
-def _cdd_combine(chi, clo, a, dhi, dlo, b):
-    """(chi,clo)*a + (dhi,dlo)*b for real dd constants c, d."""
-    ra = _dd_mul(chi, clo, a[0], a[1])
-    rb = _dd_mul(dhi, dlo, b[0], b[1])
-    ia = _dd_mul(chi, clo, a[2], a[3])
-    ib = _dd_mul(dhi, dlo, b[2], b[3])
-    rhi, rlo = _dd_add(ra[0], ra[1], rb[0], rb[1])
-    ihi, ilo = _dd_add(ia[0], ia[1], ib[0], ib[1])
-    return (rhi, rlo, ihi, ilo)
-
-
-def _cdd_to_complex(a) -> complex:
-    return complex(a[0] + a[1], a[2] + a[3])
-
-
-def _cdd_mag(a) -> float:
-    return abs(a[0]) + abs(a[2])
-
-
-_CDD_ZERO = (0.0, 0.0, 0.0, 0.0)
-_CDD_ONE = (1.0, 0.0, 0.0, 0.0)
-
-
-# ---------------------------------------------------------------------------
 # Maclaurin regime
 # ---------------------------------------------------------------------------
 
+def _fixed(x: float, bits: int) -> int:
+    """floor(x * 2^bits); exact once 2^bits covers the binary fraction of x."""
+    num, den = x.as_integer_ratio()
+    return (num << bits) // den
+
+
+# c1, c2 and sqrt(3) as 128-bit fixed-point integers; every _HI/_LO part has
+# a binary fraction of at most 108 bits, so each constant is the exact sum
+_CONST_BITS = 128
+_C1 = _fixed(_C1_HI, _CONST_BITS) + _fixed(_C1_LO, _CONST_BITS)
+_C2 = _fixed(_C2_HI, _CONST_BITS) + _fixed(_C2_LO, _CONST_BITS)
+_SQRT3 = _fixed(_SQRT3_HI, _CONST_BITS) + _fixed(_SQRT3_LO, _CONST_BITS)
+
+_SERIES_BITS = 128     # fraction bits of the sums below min(1, |z|)
+_TAIL_BITS = 120       # stop once both next terms are below 2^-120 of the peak
+
+
+def _to_complex(re: int, im: int, bits: int) -> complex:
+    """(re + i im) / 2^bits, each part correctly rounded to double."""
+    den = 1 << bits
+    return complex(re / den, im / den)
+
+
 def series_quad(z: complex, max_terms: int = 250) -> AiryQuad:
-    """Maclaurin evaluation (compensated summation), intended for |z| <= ~9.
+    """Maclaurin evaluation in fixed-point integers, intended for |z| <= ~9.
 
     Ai = c1 f - c2 g and Bi = sqrt(3) (c1 f + c2 g), where f and g are the
     standard even/odd-type entire solutions of w'' = z w with f(0) = g'(0) = 1.
+    z enters exactly as a pair of integers over 2^p, with 2^-p at least 128
+    bits below min(1, |z|), and z^3 is formed once.  Each term step
+    t_{k+1} = t_k z^3 / ((3k+2)(3k+3)) (and (3k+3)(3k+4) for g) is an
+    integer multiply and a floor divide, and f, g, z f', z g' are summed
+    exactly until the next terms fall below 2^-120 of the largest one.
+    Combined with c1, c2 and sqrt(3) as 128-bit integers, each output is
+    rounded to double once; the derivatives are then divided by z in double.
+
+    Raises DomainError for a non-finite z, and OverflowSignal when the series
+    does not converge within ``max_terms`` terms or a result exceeds the
+    double range.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"Airy series requires a finite argument, got {z!r}")
     if z == 0:
         ai = complex(_C1_HI + _C1_LO)
         aimp = complex(-(_C2_HI + _C2_LO))
         sq3 = _SQRT3_HI + _SQRT3_LO
         return AiryQuad(ai, aimp, sq3 * ai, -sq3 * aimp)
 
-    z3 = _cdd_mul(_cdd_mul(_cdd(z), _cdd(z)), _cdd(z))
-    tf = _CDD_ONE
-    tg = _cdd(z)
-    f = _CDD_ZERO
-    g = _CDD_ZERO
-    fd = _CDD_ZERO   # sum of 3k * tf_k      -> f' = fd / z
-    gd = _CDD_ZERO   # sum of (3k+1) * tg_k  -> g' = gd / z
-    scale = 1.0
-    for k in range(max_terms):
-        f = _cdd_add(f, tf)
-        g = _cdd_add(g, tg)
-        if k:
-            fd = _cdd_add(fd, _cdd_scale(tf, 3.0 * k))
-        gd = _cdd_add(gd, _cdd_scale(tg, 3.0 * k + 1.0))
-        scale = max(scale, _cdd_mag(tf), _cdd_mag(tg))
-        tf = _cdd_div(_cdd_mul(tf, z3), float((3 * k + 2) * (3 * k + 3)))
-        tg = _cdd_div(_cdd_mul(tg, z3), float((3 * k + 3) * (3 * k + 4)))
-        if _cdd_mag(tf) < 1e-36 * scale and _cdd_mag(tg) < 1e-36 * scale:
-            break
+    if abs(z) >= (3 * max_terms) ** (2 / 3):
+        # every term ratio |z|^3 / ((3k+2)(3k+3)) up to k = max_terms is >= 1
+        raise OverflowSignal(
+            f"Airy Maclaurin series cannot converge in {max_terms} terms at z = {z!r}")
 
-    ai = _cdd_to_complex(_cdd_combine(_C1_HI, _C1_LO, f, -_C2_HI, -_C2_LO, g))
-    aip = _cdd_to_complex(_cdd_combine(_C1_HI, _C1_LO, fd, -_C2_HI, -_C2_LO, gd)) / z
-    s3f = _cdd_combine(_C1_HI, _C1_LO, f, _C2_HI, _C2_LO, g)
-    s3d = _cdd_combine(_C1_HI, _C1_LO, fd, _C2_HI, _C2_LO, gd)
-    bi = _cdd_to_complex(_cdd_combine(_SQRT3_HI, _SQRT3_LO, s3f, 0.0, 0.0, _CDD_ZERO))
-    bip = _cdd_to_complex(_cdd_combine(_SQRT3_HI, _SQRT3_LO, s3d, 0.0, 0.0, _CDD_ZERO)) / z
+    e = -math.frexp(abs(z))[1]               # 2^e |z| lies in [1/2, 1)
+    (nr, dr), (ni, di) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    p = max(_SERIES_BITS + max(e, 0), dr.bit_length() - 1, di.bit_length() - 1)
+    zr, zi = (nr << p) // dr, (ni << p) // di
+    zr2, zi2 = zr * zr - zi * zi, 2 * zr * zi
+    cr = (zr2 * zr - zi2 * zi) >> (2 * p)            # z^3 over 2^p
+    ci = (zr2 * zi + zi2 * zr) >> (2 * p)
+
+    tfr, tfi = 1 << p, 0
+    tgr, tgi = zr, zi
+    fr = fi = gr = gi = 0
+    sfr = sfi = sgr = sgi = 0    # sums of the partial sums before the last
+    scale = max(tfr, abs(tgr) + abs(tgi))
+    tol = scale >> _TAIL_BITS
+    for k in range(max_terms):
+        sfr += fr
+        sfi += fi
+        sgr += gr
+        sgi += gi
+        fr += tfr
+        fi += tfi
+        gr += tgr
+        gi += tgi
+        k3 = 3 * k
+        m = (k3 + 2) * (k3 + 3)
+        tfr, tfi = ((tfr * cr - tfi * ci) >> p) // m, ((tfr * ci + tfi * cr) >> p) // m
+        m = (k3 + 3) * (k3 + 4)
+        tgr, tgi = ((tgr * cr - tgi * ci) >> p) // m, ((tgr * ci + tgi * cr) >> p) // m
+        mf = abs(tfr) + abs(tfi)
+        mg = abs(tgr) + abs(tgi)
+        if mf < tol and mg < tol:
+            break
+        if mf > scale:
+            scale = mf
+            tol = scale >> _TAIL_BITS
+        if mg > scale:
+            scale = mg
+            tol = scale >> _TAIL_BITS
+    else:
+        raise OverflowSignal(
+            f"Airy Maclaurin series not converged in {max_terms} terms at z = {z!r}")
+
+    # z f' = sum 3k tf_k and z g' = sum (3k+1) tg_k, from the partial sums
+    # S_j through sum_{j<=k} j t_j = k S_k - sum_{j<k} S_j
+    fdr, fdi = 3 * (k * fr - sfr), 3 * (k * fi - sfi)
+    gdr, gdi = 3 * (k * gr - sgr) + gr, 3 * (k * gi - sgi) + gi
+    # both are divided by z after scaling by 2^e, which leaves the double
+    # quotient unchanged but keeps tiny |z| from underflowing
+    zs = complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+    q = p + _CONST_BITS
+    try:
+        ai = _to_complex(_C1 * fr - _C2 * gr, _C1 * fi - _C2 * gi, q)
+        aip = _to_complex(_C1 * fdr - _C2 * gdr, _C1 * fdi - _C2 * gdi, q - e) / zs
+        q += _CONST_BITS
+        bi = _to_complex(_SQRT3 * (_C1 * fr + _C2 * gr),
+                         _SQRT3 * (_C1 * fi + _C2 * gi), q)
+        bip = _to_complex(_SQRT3 * (_C1 * fdr + _C2 * gdr),
+                          _SQRT3 * (_C1 * fdi + _C2 * gdi), q - e) / zs
+    except OverflowError:
+        raise OverflowSignal(f"Airy Maclaurin result overflows at z = {z!r}") from None
     return AiryQuad(ai, aip, bi, bip)
 
 
@@ -285,12 +247,12 @@ def airy_quad(z: complex) -> AiryQuad:
     """Ai, Ai', Bi, Bi' at a complex point.
 
     Relative accuracy is ~1e-13 for |z| <= 20 in every sector.  Raises
-    OverflowSignal once the dominant solution exceeds the double range
-    (2/3 Re z^{3/2} beyond ~700).
+    DomainError for a non-finite z, and OverflowSignal once the dominant
+    solution exceeds the double range (2/3 Re z^{3/2} beyond ~700).
     """
     z = complex(z)
     if not (cmath.isfinite(z)):
-        raise ValueError("airy_quad requires a finite argument")
+        raise DomainError(f"airy_quad requires a finite argument, got {z!r}")
     if abs(z) <= SWITCH_RADIUS:
         return series_quad(z)
     return asymptotic_quad(z)

@@ -61,6 +61,10 @@ class SweepSpec:
     out: str = "-"
 
     def __post_init__(self):
+        for name, value in (("ell", self.ell), ("eta", self.eta),
+                            ("rho-min", self.rho_min), ("rho-max", self.rho_max)):
+            if not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.rho_min > 0.0:
             raise ValueError("rho-min must be > 0")
         if self.rho_max < self.rho_min:

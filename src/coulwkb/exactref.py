@@ -205,14 +205,6 @@ def h_asymptotic(params: ComplexParams, *, tol: float = ASYM_TOL,
     return h, hp, diag
 
 
-def _fg_from_h(ell: complex, eta: complex, rho: complex, *, tol: float = ASYM_TOL):
-    """Full quad from H+ and H-: G = (H+ + H-)/2, F = (H+ - H-)/(2i)."""
-    hp, hpp, d1 = h_asymptotic(ComplexParams(ell, eta, rho, 1), tol=tol)
-    hm, hmp, d2 = h_asymptotic(ComplexParams(ell, eta, rho, -1), tol=tol)
-    return CoulombQuad(f=(hp - hm) / 2j, fp=(hpp - hmp) / 2j,
-                       g=(hp + hm) / 2.0, gp=(hpp + hmp) / 2.0)
-
-
 # ---------------------------------------------------------------------------
 # adaptive Dormand-Prince 5(4) propagation along complex paths
 # ---------------------------------------------------------------------------

@@ -55,8 +55,8 @@ SERIES_X_FACTOR = 4e-4
 class ComplexParams:
     """Evaluation point (l, eta, rho) plus the sign omega selecting H+/H-.
 
-    rho must avoid the origin and the negative real axis (the cut ray of the
-    Coulomb functions); omega is +1 or -1.
+    l, eta and rho must be finite; rho must avoid the origin and the negative
+    real axis (the cut ray of the Coulomb functions); omega is +1 or -1.
     """
 
     ell: complex
@@ -68,6 +68,10 @@ class ComplexParams:
         object.__setattr__(self, "ell", complex(self.ell))
         object.__setattr__(self, "eta", complex(self.eta))
         object.__setattr__(self, "rho", complex(self.rho))
+        for name in ("ell", "eta", "rho"):
+            value = getattr(self, name)
+            if not cmath.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
         if self.rho == 0:
             raise DomainError("rho = 0 is excluded")
         if self.rho.imag == 0.0 and self.rho.real < 0.0:
@@ -106,10 +110,6 @@ class CoulombQuad:
     def wronskian_error(self) -> float:
         """|F'G - FG' - 1|; identically 0 for exact Coulomb pairs."""
         return abs(self.fp * self.g - self.f * self.gp - 1.0)
-
-    def h(self, omega: int):
-        """(H, H') for the requested sign; see :func:`h_from_quad`."""
-        return h_from_quad(self, omega)
 
 
 def turning_geometry(params: ComplexParams) -> TurningGeometry:

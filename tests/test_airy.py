@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import pytest
 import scipy.special
 
@@ -13,7 +14,7 @@ from coulwkb.airy import (
     asymptotic_quad,
     series_quad,
 )
-from coulwkb.errors import OverflowSignal
+from coulwkb.errors import DomainError, OverflowSignal
 
 # Ai(0) and the 40-term Maclaurin oracle at z = 1, both evaluated at 60
 # digits before freezing
@@ -42,6 +43,38 @@ class TestSpotValues:
     def test_wronskian_spot(self):
         q = airy_quad(1.7 + 0.3j)
         assert q.wronskian_error() < 1e-13
+
+
+class TestSeriesAgainstMpmath:
+    """The Maclaurin series against mpmath's Airy functions at 40 digits."""
+
+    @staticmethod
+    def _points():
+        rng = random.Random(11)
+        pts = [cmath.rect(SWITCH_RADIUS * math.sqrt(rng.random()),
+                          rng.uniform(-math.pi, math.pi)) for _ in range(120)]
+        pts += [complex(rng.uniform(-SWITCH_RADIUS, SWITCH_RADIUS), 0.0)
+                for _ in range(25)]
+        pts += [complex(0.0, rng.uniform(-SWITCH_RADIUS, SWITCH_RADIUS))
+                for _ in range(25)]
+        pts += [cmath.rect(10.0 ** rng.uniform(-12, -3),
+                           rng.uniform(-math.pi, math.pi)) for _ in range(25)]
+        pts += [complex(1e-200, -1e-200), 1e-310, -5e-324j]   # z f' below the double range
+        pts += [SWITCH_RADIUS * cmath.exp(1j * math.radians(d))
+                for d in range(0, 360, 10)]
+        return pts
+
+    def test_disk(self):
+        with mpmath.workdps(40):
+            for z in self._points():
+                q = series_quad(z)
+                w = mpmath.mpc(z.real, z.imag)
+                for (x, xp), fn in (((q.ai, q.aip), mpmath.airyai),
+                                    ((q.bi, q.bip), mpmath.airybi)):
+                    ref, refp = fn(w), fn(w, 1)
+                    scale = max(abs(ref), abs(refp))
+                    assert abs(x - ref) <= 1e-15 * scale, z
+                    assert abs(xp - refp) <= 1e-15 * scale, z
 
 
 class TestAgainstScipy:
@@ -121,6 +154,27 @@ class TestOverflow:
         with pytest.raises(OverflowSignal):
             airy_quad(complex(120.0, 0.0))
 
+    @pytest.mark.parametrize("z", [1e6, 1e6j, complex(1e308, -1e308), 60.0])
+    def test_series_not_converging(self, z):
+        # beyond the disk the terms are still growing at max_terms
+        with pytest.raises(OverflowSignal):
+            series_quad(z)
+
+    def test_series_result_overflow(self):
+        # converges with enough terms, but Bi(110) ~ 1e332 is no double
+        with pytest.raises(OverflowSignal):
+            series_quad(110.0, max_terms=2000)
+
     def test_large_but_representable(self):
         q = airy_quad(80.0)          # Bi(80) ~ 1e206, still a double
         assert math.isfinite(q.bi.real) and q.bi.real > 1e200
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.inf),
+                                   complex(-math.inf, 1.0)])
+    def test_domain_error(self, z):
+        with pytest.raises(DomainError):
+            airy_quad(z)
+        with pytest.raises(DomainError):
+            series_quad(z)

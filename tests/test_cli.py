@@ -38,6 +38,12 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(ell=0, eta=0, rho_min=1, rho_max=2, rho_points=5,
                       backend="magic")
+        for bad in ({"eta": complex(math.nan, 0.0)}, {"ell": math.inf},
+                    {"rho_min": math.nan}, {"rho_max": math.inf}):
+            kwargs = {"ell": 0, "eta": 0, "rho_min": 1, "rho_max": 2,
+                      "rho_points": 5, **bad}
+            with pytest.raises(ValueError, match="finite"):
+                SweepSpec(**kwargs)
 
     def test_grid(self):
         spec = SweepSpec(ell=0, eta=0, rho_min=1, rho_max=3, rho_points=3)
@@ -180,6 +186,23 @@ class TestMain:
         code = main(["sweep", "--rho-min", "-1", "--rho-max", "2",
                      "--rho-points", "5"])
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    @pytest.mark.parametrize("bad", [("--eta-re", "nan"), ("--ell-im", "inf"),
+                                     ("--rho-min", "nan"), ("--rho-max", "inf")])
+    def test_non_finite_input_exit_1(self, command, bad, tmp_path, capsys):
+        out = tmp_path / "n.csv"
+        args = {"--ell-re": "2", "--ell-im": "0", "--eta-re": "10",
+                "--rho-min": "5", "--rho-max": "25"}
+        args[bad[0]] = bad[1]
+        argv = [command, "--rho-points", "3", "--out", str(out)]
+        for flag, value in args.items():
+            argv += [flag, value]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_sweep_exit_0(self, tmp_path):
         out = tmp_path / "s.csv"

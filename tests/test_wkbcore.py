@@ -52,6 +52,20 @@ class TestComplexParams:
         ComplexParams(2, 10, 5.0)
         ComplexParams(2j, 10, -3.0 + 0.001j)
 
+    @pytest.mark.parametrize("field", ["ell", "eta", "rho"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
+    def test_rejects_non_finite(self, field, bad):
+        args = {"ell": 2.0, "eta": 10.0, "rho": 5.0, field: bad}
+        with pytest.raises(DomainError):
+            ComplexParams(**args)
+
+    def test_exact_quad_non_finite_eta_is_domain_error(self):
+        # a non-finite eta stops at the parameter check, before the exact
+        # backend's recurrences can run away on it
+        for eta in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                exact_quad(ComplexParams(2.0, eta, 5.0))
+
 
 class TestTurningGeometry:
     def test_trivial_l0(self):
