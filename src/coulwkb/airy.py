@@ -29,7 +29,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, OverflowSignal
+from .errors import DomainError, OverflowSignal, SeriesCancellationError
 
 SWITCH_RADIUS = 8.0
 
@@ -82,6 +82,9 @@ _SQRT3 = _fixed(_SQRT3_HI, _CONST_BITS) + _fixed(_SQRT3_LO, _CONST_BITS)
 
 _SERIES_BITS = 128     # fraction bits of the sums below min(1, |z|)
 _TAIL_BITS = 120       # stop once both next terms are below 2^-120 of the peak
+# c2 is good to 2^-107, so c1 f -/+ c2 g may cancel at most this many bits
+# and still leave 1e-15 of max(|X|, |X'|)
+_CANCEL_BITS = 54
 
 
 def _to_complex(re: int, im: int, bits: int) -> complex:
@@ -103,9 +106,12 @@ def series_quad(z: complex, max_terms: int = 250) -> AiryQuad:
     Combined with c1, c2 and sqrt(3) as 128-bit integers, each output is
     rounded to double once; the derivatives are then divided by z in double.
 
-    Raises DomainError for a non-finite z, and OverflowSignal when the series
+    Raises DomainError for a non-finite z, OverflowSignal when the series
     does not converge within ``max_terms`` terms or a result exceeds the
-    double range.
+    double range, and SeriesCancellationError when, outside |z| <= 8, the
+    largest term or sum exceeds max(|X|, |X'|) by more than 2^54, where the
+    ~107-bit constants can no longer meet 1e-15 of it (from |z| ~ 9 on the
+    positive real axis).
     """
     z = complex(z)
     if not cmath.isfinite(z):
@@ -181,6 +187,19 @@ def series_quad(z: complex, max_terms: int = 250) -> AiryQuad:
                           _SQRT3 * (_C1 * fdi + _C2 * gdi), q - e) / zs
     except OverflowError:
         raise OverflowSignal(f"Airy Maclaurin result overflows at z = {z!r}") from None
+    # inside the disk the loss below stays under 2^45 (measured), so only
+    # direct calls beyond it pay for the check
+    if abs(z) > SWITCH_RADIUS:
+        # log2 of the largest term or sum (f, g over 2^p; z f', z g' times
+        # 2^e ~ 1/|z|) over the smaller of max(|Ai|, |Ai'|), max(|Bi|, |Bi'|)
+        top = max(scale.bit_length(),
+                  max(abs(fr), abs(fi), abs(gr), abs(gi)).bit_length(),
+                  max(abs(fdr), abs(fdi), abs(gdr), abs(gdi)).bit_length() + e) - p
+        keep = min(max(abs(ai), abs(aip)), max(abs(bi), abs(bip)))
+        if keep == 0.0 or top - math.frexp(keep)[1] > _CANCEL_BITS:
+            raise SeriesCancellationError(
+                f"Airy Maclaurin series cancels more than {_CANCEL_BITS} bits "
+                f"at z = {z!r}, more than its constants allow")
     return AiryQuad(ai, aip, bi, bip)
 
 

@@ -4,7 +4,6 @@ All functions here are pure and follow the standard principal-branch
 conventions (cuts as in cmath / DLMF ch. 4):
 
 * ``log``      cut on the negative real axis, Im(log) in (-pi, pi]
-* ``sqrt``     cut on the negative real axis, Re(sqrt) >= 0
 * ``arctan``   cuts on the imaginary axis, |Im z| >= 1
 * ``arctanh``  cuts on the real axis, |Re z| >= 1
 * ``arccos``   cuts on the real axis, |Re z| >= 1
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import BranchPointError, PoleError
 
@@ -41,31 +39,11 @@ _HALF_LOG_TWO_PI = 0.9189385332046727417803297
 _STIRLING_RADIUS = 12.0
 
 
-@dataclass(frozen=True)
-class BranchedValue:
-    """A complex value together with the sheet index it was evaluated on.
-
-    ``winding = 0`` is the principal branch.  For ``log`` a winding of k
-    shifts the value by 2*pi*i*k; for ``sqrt`` it multiplies by (-1)**k.
-    """
-
-    value: complex
-    winding: int = 0
-
-
 def branch_log(z: complex, winding: int = 0) -> complex:
     """log on sheet ``winding``: principal value plus 2*pi*i*winding."""
     if z == 0:
         raise BranchPointError("log branch point at z = 0")
     return cmath.log(z) + winding * _TWO_PI_I
-
-
-def branch_sqrt(z: complex, winding: int = 0) -> complex:
-    """Square root on sheet ``winding``: principal value times (-1)**winding."""
-    if z == 0:
-        raise BranchPointError("sqrt branch point at z = 0")
-    w = cmath.sqrt(z)
-    return w if winding % 2 == 0 else -w
 
 
 def branch_arctan(z: complex, winding: int = 0) -> complex:

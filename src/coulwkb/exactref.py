@@ -15,11 +15,16 @@ from three independent routes:
   2 eta/rho - 1) u along straight complex paths with an embedded
   Dormand-Prince 5(4) pair.
 
-``exact_quad`` combines them per region: F from the series near the origin,
-H(+/-) far out, and the ODE bridging the gap.  The bridge carries the
-inward-GROWING member of the H pair (H^w with w = sign Im rho) and rebuilds
-G = H^w - i w F from it, which keeps the integration self-correcting both
-through the barrier and along complex rays.
+One route planner combines them point by point.  F comes from the series
+(guard-checked; it has no cancellation at and below the turning point) or
+from H(+/-) at the point, whichever is the more accurate, else by outward
+propagation of series values.  G comes from H(+/-) at the point where that
+expansion converges; otherwise the inward-GROWING member H^w (w = sign Im
+rho) is carried in by the ODE as a chain (rho, H^w, H^w') and G is rebuilt
+as H^w - i w F, which keeps the integration self-correcting both through
+the barrier and along complex rays.  ``exact_quad`` is the planner at one
+point with no chain; ``exact_quad_grid`` runs it over a grid, handing the
+chain from point to point.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .complexops import log_gamma
 from .errors import (
     AsymptoticFailureError,
     ConvergenceError,
+    CoulwkbError,
     NoStrategyError,
     PathError,
     SeriesCancellationError,
@@ -46,6 +52,7 @@ SERIES_MAX_TERMS = 10000
 SERIES_TOL = 1e-15
 CANCELLATION_LIMIT = 1e8    # max term magnitude over result magnitude
 ASYM_TOL = 1e-10
+ANCHOR_TOL = 1e-11          # H^w ratio that may start an inward chain
 
 
 @dataclass(frozen=True)
@@ -327,10 +334,9 @@ def _omega_star(rho: complex) -> int:
     return 1 if rho.imag >= 0.0 else -1
 
 
-def _h_anchor(ell: complex, eta: complex, rho: complex, omega: int, *,
-              tol: float = 1e-11):
+def _h_anchor(ell: complex, eta: complex, rho: complex, omega: int):
     """(anchor_rho, H, H') out along the ray of rho where the expansion
-    converges; raises AsymptoticFailureError if none found."""
+    converges to ANCHOR_TOL; raises AsymptoticFailureError if none found."""
     unit = rho / abs(rho)
     r = max(50.0, abs(eta) ** 2 / 5.0, 1.05 * abs(rho))
     last_exc = None
@@ -338,7 +344,7 @@ def _h_anchor(ell: complex, eta: complex, rho: complex, omega: int, *,
         anchor = r * unit
         try:
             h, hp, _ = h_asymptotic(ComplexParams(ell, eta, anchor, omega),
-                                    tol=tol)
+                                    tol=ANCHOR_TOL)
             return anchor, h, hp
         except AsymptoticFailureError as exc:
             last_exc = exc
@@ -359,8 +365,17 @@ def _h_inward(ell: complex, eta: complex, rho: complex, omega: int):
     return prop.f, prop.fp
 
 
-def _is_real_point(ell: complex, eta: complex, rho: complex) -> bool:
-    return ell.imag == 0.0 and eta.imag == 0.0 and rho.imag == 0.0
+def _h_chain(ell: complex, eta: complex, rho: complex, omega: int, chain):
+    """H^omega pair at rho, carried in from ``chain`` when it can reach rho
+    with the same omega, else anchored afresh by :func:`_h_inward`."""
+    if chain is not None and _omega_star(chain[0]) == omega:
+        try:
+            prop = ode_propagate(ell, eta, chain[0],
+                                 CoulombQuad(chain[1], chain[2], 0.0, 0.0), rho)
+            return prop.f, prop.fp
+        except (PathError, ConvergenceError):
+            pass
+    return _h_inward(ell, eta, rho, omega)
 
 
 def _series_anchor(params: ComplexParams):
@@ -399,11 +414,13 @@ def _series_route(params: ComplexParams, notes: dict):
 
 
 def _asym_route(params: ComplexParams, notes: dict):
-    """(quad, estF, estG) from H(+/-) at the point itself, or None.
+    """(quad, estF, seed) from H(+/-) at the point itself, or None.
 
-    The estimates combine the smallest-term ratios with the cancellation
-    incurred when |F| or |G| is far below |H| (e.g. the regular solution
-    at small rho for integer l, eta = 0, where the expansion terminates).
+    estF combines the smallest-term ratios with the cancellation incurred
+    when |F| is far below |H| (e.g. the regular solution at small rho for
+    integer l, eta = 0, where the expansion terminates).  ``seed`` is the
+    chain (rho, H^w, H^w') when the inward-growing member also passes
+    ANCHOR_TOL, else None.
     """
     ell, eta, rho = params.ell, params.eta, params.rho
     try:
@@ -415,25 +432,20 @@ def _asym_route(params: ComplexParams, notes: dict):
     notes["asymptotic"] = "ok"
     quad = CoulombQuad(f=(hp_ - hm_) / 2j, fp=(hpd - hmd) / 2j,
                        g=(hp_ + hm_) / 2.0, gp=(hpd + hmd) / 2.0)
-    ratio = d1.last_term_ratio + d2.last_term_ratio
-    hmag = abs(hp_) + abs(hm_)
-    est_f = ratio + 1e-16 * hmag / max(abs(quad.f), 1e-300)
-    est_g = ratio + 1e-16 * hmag / max(abs(quad.g), 1e-300)
-    return quad, est_f, est_g
+    est_f = (d1.last_term_ratio + d2.last_term_ratio
+             + 1e-16 * (abs(hp_) + abs(hm_)) / max(abs(quad.f), 1e-300))
+    h, hp, diag = (hp_, hpd, d1) if _omega_star(rho) == 1 else (hm_, hmd, d2)
+    seed = (rho, h, hp) if diag.last_term_ratio <= ANCHOR_TOL else None
+    return quad, est_f, seed
 
 
-def exact_quad(params: ComplexParams) -> CoulombQuad:
-    """F, F', G, G' by the most accurate available exact route at one point.
+def _plan(params: ComplexParams, chain):
+    """(quad, chain) at one point by the most accurate available route.
 
-    F comes from the power series (guard-checked; it has no cancellation at
-    and below the turning point) or from H(+/-) where that expansion is the
-    more accurate, with outward propagation of series values as a last
-    resort.  G comes from H(+/-) where the expansion converges; otherwise
-    the inward-growing member H^w (w = sign Im rho) is propagated in from
-    the asymptotic region and G is reconstructed as H^w - i w F, so the
-    exponentially small correction to G never rides on an unstable
-    integration.  Raises NoStrategyError with per-route diagnostics when
-    every route fails.
+    ``chain`` is the (rho, H^w, H^w') carried in from a larger |rho| on the
+    same ray, or None; the returned chain is the one to carry further in.
+    Raises NoStrategyError with per-route diagnostics when every route
+    fails; other CoulwkbErrors (a gamma pole, say) propagate.
     """
     ell, eta, rho = params.ell, params.eta, params.rho
     notes: dict[str, str] = {}
@@ -445,20 +457,20 @@ def exact_quad(params: ComplexParams) -> CoulombQuad:
     if ser is not None:
         f, fp, est_f = ser
     if asym is not None:
-        quad, est_af, est_ag = asym
+        quad, est_af, seed = asym
         if f is None or est_af < est_f:
             f, fp = quad.f, quad.fp
-        return CoulombQuad(f=f, fp=fp, g=quad.g, gp=quad.gp)
+        return CoulombQuad(f=f, fp=fp, g=quad.g, gp=quad.gp), seed or chain
 
     om = _omega_star(rho)
     h = hp = None
     try:
-        h, hp = _h_inward(ell, eta, rho, om)
+        h, hp = _h_chain(ell, eta, rho, om, chain)
         notes["h_ode_inward"] = "ok"
-    except (AsymptoticFailureError, PathError, ConvergenceError) as exc:
+    except (PathError, ConvergenceError) as exc:
         notes["h_ode_inward"] = str(exc)
 
-    if h is not None and _is_real_point(ell, eta, rho):
+    if h is not None and ell.imag == 0.0 and eta.imag == 0.0 and rho.imag == 0.0:
         # real parameters: H^- = conj(H^+), so F is Im(H^+)
         if f is None or est_f > _CHAIN_EST:
             f = complex(h.imag * om, 0.0)
@@ -479,72 +491,34 @@ def exact_quad(params: ComplexParams) -> CoulombQuad:
         raise NoStrategyError(
             f"no exact route covers rho = {rho!r}", diagnostics=notes)
     jw = 1j * om
-    return CoulombQuad(f=f, fp=fp, g=h - jw * f, gp=hp - jw * fp)
+    return CoulombQuad(f=f, fp=fp, g=h - jw * f, gp=hp - jw * fp), (rho, h, hp)
+
+
+def exact_quad(params: ComplexParams) -> CoulombQuad:
+    """F, F', G, G' at one point: the route planner with nothing carried in.
+
+    Raises NoStrategyError with per-route diagnostics when every route
+    fails; see the module docstring for the routes.
+    """
+    return _plan(params, None)[0]
 
 
 def exact_quad_grid(ell: complex, eta: complex, rhos) -> list:
-    """Evaluate ``exact_quad`` on a grid of rho values sharing one ray.
+    """F, F', G, G' on a grid of rho values, normally along one ray.
 
-    The inward-growing H pair is carried along the sorted grid in a single
-    traversal instead of re-propagating from the asymptotic region per
-    point, so a whole sweep costs one pass.  Returns one CoulombQuad or one
-    CoulwkbError per input point, in input order.
+    The points are planned in descending |rho|, each handed the H^w chain of
+    the last, so a sweep along a ray integrates each stretch of it once.  A
+    point whose own H^w expansion passes ANCHOR_TOL re-seeds the chain
+    there; a point the chain cannot reach (a path or step failure, or a
+    different w) is anchored afresh as ``exact_quad`` would.  Returns one
+    CoulombQuad or one CoulwkbError per input point, in input order.
     """
-    ell = complex(ell)
-    eta = complex(eta)
     pts = [complex(r) for r in rhos]
     out: list = [None] * len(pts)
-    if not pts:
-        return out
-    order = sorted(range(len(pts)), key=lambda i: -abs(pts[i]))
-
-    om = _omega_star(pts[order[0]])
-    chain_rho = None
-    chain_h = None
-    try:
-        chain_rho, h, hp = _h_anchor(ell, eta, pts[order[0]], om)
-        chain_h = (h, hp)
-    except AsymptoticFailureError:
-        pass
-
-    real_ray = ell.imag == 0.0 and eta.imag == 0.0
-
-    for i in order:
-        rho = pts[i]
+    chain = None
+    for i in sorted(range(len(pts)), key=lambda i: -abs(pts[i])):
         try:
-            params = ComplexParams(ell, eta, rho)
-        except Exception as exc:                      # invalid grid point
+            out[i], chain = _plan(ComplexParams(ell, eta, pts[i]), chain)
+        except CoulwkbError as exc:
             out[i] = exc
-            continue
-        f = fp = None
-        est_f = math.inf
-        try:
-            f, fp, _, cancel = _f_series_core(params)
-            est_f = max(cancel, 1.0) * _SERIES_EPS
-        except ConvergenceError:
-            pass
-        if chain_h is not None:
-            try:
-                if rho != chain_rho:
-                    prop = ode_propagate(ell, eta, chain_rho,
-                                         CoulombQuad(chain_h[0], chain_h[1],
-                                                     0.0, 0.0), rho)
-                    chain_h = (prop.f, prop.fp)
-                    chain_rho = rho
-                h, hp = chain_h
-                if real_ray and rho.imag == 0.0 and est_f > _CHAIN_EST:
-                    f = complex(h.imag * om, 0.0)
-                    fp = complex(hp.imag * om, 0.0)
-                if f is not None:
-                    jw = 1j * om
-                    out[i] = CoulombQuad(f=f, fp=fp, g=h - jw * f,
-                                         gp=hp - jw * fp)
-            except (PathError, ConvergenceError) as exc:
-                chain_h = None
-                out[i] = exc
-        if out[i] is None:
-            try:
-                out[i] = exact_quad(params)
-            except Exception as exc:
-                out[i] = exc
     return out

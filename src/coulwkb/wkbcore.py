@@ -257,13 +257,6 @@ def phi_jet_terms(x: complex, a: complex, k_log: int = 0, k_atan: int = 0,
     return _phi_jet_left(x, a, k_atan, k_acos, k_outer, k_dphi)
 
 
-def phi_jet_branched(x: complex, a: complex, k_log: int = 0, k_atan: int = 0,
-                     k_acos: int = 0, k_outer: int = 0,
-                     k_dphi: int = 0) -> PhiJet:
-    """phi jet with explicit sheet indices; see :func:`phi_jet_terms`."""
-    return phi_jet_terms(x, a, k_log, k_atan, k_acos, k_outer, k_dphi)[0]
-
-
 def phi_jet(x: complex, a: complex) -> PhiJet:
     """Principal-branch phase map phi and its first two derivatives.
 
@@ -272,7 +265,7 @@ def phi_jet(x: complex, a: complex) -> PhiJet:
     is phi ~ (1+a)^{1/3} x.  For a = 0 the sqrt(a) terms are dropped
     identically, recovering the s-wave expressions.
     """
-    return phi_jet_branched(x, a)
+    return phi_jet_terms(x, a)[0]
 
 
 def phi_residual(x: complex, a: complex, rho_t: complex) -> complex:

@@ -14,7 +14,12 @@ from coulwkb.airy import (
     asymptotic_quad,
     series_quad,
 )
-from coulwkb.errors import DomainError, OverflowSignal
+from coulwkb.errors import (
+    CoulwkbError,
+    DomainError,
+    OverflowSignal,
+    SeriesCancellationError,
+)
 
 # Ai(0) and the 40-term Maclaurin oracle at z = 1, both evaluated at 60
 # digits before freezing
@@ -75,6 +80,38 @@ class TestSeriesAgainstMpmath:
                     scale = max(abs(ref), abs(refp))
                     assert abs(x - ref) <= 1e-15 * scale, z
                     assert abs(xp - refp) <= 1e-15 * scale, z
+
+    def test_beyond_disk_accurate_or_typed_error(self):
+        # past SWITCH_RADIUS the cancellation in c1 f -/+ c2 g outgrows the
+        # constants: every value returned must still meet the oracle, and
+        # every refusal must be a typed error
+        rng = random.Random(23)
+        pts = [cmath.rect(rng.uniform(SWITCH_RADIUS, 30.0),
+                          rng.uniform(-math.pi, math.pi)) for _ in range(60)]
+        pts += [complex(r, 0.0) for r in (8.5, 9.0, 9.5, 10.0, 11.0, 12.0,
+                                          14.0, 20.0, 30.0)]
+        pts += [complex(-r, 0.0) for r in (9.0, 12.0, 20.0, 30.0)]
+        returned = 0
+        with mpmath.workdps(40):
+            for z in pts:
+                try:
+                    q = series_quad(z)
+                except CoulwkbError:
+                    continue
+                returned += 1
+                w = mpmath.mpc(z.real, z.imag)
+                for (x, xp), fn in (((q.ai, q.aip), mpmath.airyai),
+                                    ((q.bi, q.bip), mpmath.airybi)):
+                    ref, refp = fn(w), fn(w, 1)
+                    scale = max(abs(ref), abs(refp))
+                    assert abs(x - ref) <= 1e-15 * scale, z
+                    assert abs(xp - refp) <= 1e-15 * scale, z
+        assert 0 < returned < len(pts)
+
+    @pytest.mark.parametrize("z", [30.0, 14.0, -25.0, complex(12.5, 21.65)])
+    def test_cancellation_refused(self, z):
+        with pytest.raises(SeriesCancellationError):
+            series_quad(z)
 
 
 class TestAgainstScipy:

@@ -7,12 +7,10 @@ import mpmath as mp
 import pytest
 
 from coulwkb.complexops import (
-    BranchedValue,
     branch_arccos,
     branch_arctan,
     branch_arctanh,
     branch_log,
-    branch_sqrt,
     log_gamma,
 )
 from coulwkb.errors import BranchPointError, PoleError
@@ -82,13 +80,6 @@ class TestBranchFunctions:
         for z in (2.3 - 1.1j, -4 + 0.5j, 1e-3 + 1e-4j, -7 - 9j):
             assert abs(cmath.exp(branch_log(z)) - z) <= 1e-14 * abs(z)
 
-    def test_sqrt_square_roundtrip(self):
-        for z in (2.3 - 1.1j, -4 + 0.5j, 0.01 + 100j):
-            w = branch_sqrt(z)
-            assert abs(w * w - z) <= 1e-14 * abs(z)
-            assert branch_sqrt(z, 1) == -w
-            assert branch_sqrt(z, 2) == w
-
     def test_arctanh_log_identity(self):
         # independent oracle: arctanh z = (1/2) log((1+z)/(1-z))
         for z in (0.5, 0.3 + 0.4j, -0.8 + 0.1j):
@@ -111,15 +102,8 @@ class TestBranchFunctions:
         with pytest.raises(BranchPointError):
             branch_log(0.0)
         with pytest.raises(BranchPointError):
-            branch_sqrt(0.0)
-        with pytest.raises(BranchPointError):
             branch_arctan(1j)
         with pytest.raises(BranchPointError):
             branch_arctanh(-1.0)
         with pytest.raises(BranchPointError):
             branch_arccos(1.0)
-
-    def test_branched_value_container(self):
-        bv = BranchedValue(value=1 + 2j, winding=3)
-        assert bv.value == 1 + 2j and bv.winding == 3
-        assert BranchedValue(1.0).winding == 0

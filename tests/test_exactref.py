@@ -8,6 +8,7 @@ import pytest
 from coulwkb.errors import (
     AsymptoticFailureError,
     ConvergenceError,
+    DomainError,
     PathError,
     PoleError,
 )
@@ -281,3 +282,38 @@ class TestExactQuadGrid:
         assert isinstance(grid[0], CoulombQuad)
         assert isinstance(grid[1], Exception)
         assert isinstance(grid[2], CoulombQuad)
+
+    def test_non_finite_eta_is_per_point_error(self):
+        grid = exact_quad_grid(2.0, math.nan, [5.0, 10.0])
+        assert all(isinstance(q, DomainError) for q in grid)
+
+    def test_largest_point_on_cut_is_per_point_error(self):
+        grid = exact_quad_grid(2, 10, [-100 + 0j, 5.0, 10.0])
+        assert isinstance(grid[0], DomainError)
+        assert isinstance(grid[1], CoulombQuad)
+        assert isinstance(grid[2], CoulombQuad)
+
+    def test_gamma_pole_is_per_point_error(self):
+        grid = exact_quad_grid(-1.0, 10.0, [5.0, 10.0])
+        assert all(isinstance(q, PoleError) for q in grid)
+
+    @pytest.mark.parametrize("ell, eta, rhos", [
+        (2, 10, [1.0 + k * 59.0 / 119 for k in range(120)]),
+        (2 + 1j, 10 + 1j, [(2.0 + k * 38.0 / 79) * RAY for k in range(80)]),
+    ])
+    def test_equals_pointwise_where_asymptotics_converge(self, ell, eta, rhos):
+        # both backends take the at-point H(+/-) route there, so the grid
+        # and the single-point planner must agree bit for bit
+        def converges(rho):
+            try:
+                for om in (1, -1):
+                    h_asymptotic(ComplexParams(ell, eta, rho, om))
+            except AsymptoticFailureError:
+                return False
+            return True
+
+        grid = exact_quad_grid(ell, eta, rhos)
+        far = [i for i, rho in enumerate(rhos) if converges(rho)]
+        assert len(far) >= len(rhos) // 3
+        for i in far:
+            assert grid[i] == exact_quad(ComplexParams(ell, eta, rhos[i]))
