@@ -57,10 +57,6 @@ class PathError(CoulwkbError):
     negative real axis cut ray)."""
 
 
-class StepUnderflowError(PathError):
-    """Adaptive ODE step size collapsed below the representable limit."""
-
-
 class StepRefinementError(PathError):
     """Contour continuity could not be restored within the refinement limit."""
 

@@ -12,8 +12,8 @@ from three independent routes:
   e^{+/- i theta} 2F0(-l + i w eta, 1 + l + i w eta;; -i/(2 w rho)),
   truncated at its smallest term.
 * ``ode_propagate`` -- direct integration of u'' = (l(l+1)/rho^2 +
-  2 eta/rho - 1) u along straight complex paths with an embedded
-  Dormand-Prince 5(4) pair.
+  2 eta/rho - 1) u along straight complex paths by high-order Taylor
+  steps, whose coefficients follow a five-term recurrence.
 
 One route planner combines them point by point.  F comes from the series
 (guard-checked; it has no cancellation at and below the turning point) or
@@ -39,9 +39,9 @@ from .errors import (
     ConvergenceError,
     CoulwkbError,
     NoStrategyError,
+    OverflowSignal,
     PathError,
     SeriesCancellationError,
-    StepUnderflowError,
 )
 from .wkbcore import ComplexParams, CoulombQuad
 
@@ -213,21 +213,13 @@ def h_asymptotic(params: ComplexParams, *, tol: float = ASYM_TOL,
 
 
 # ---------------------------------------------------------------------------
-# adaptive Dormand-Prince 5(4) propagation along complex paths
+# Taylor-series propagation along complex paths
 # ---------------------------------------------------------------------------
 
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-# y5 - y4 error weights
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
-         -1 / 40)
+TAYLOR_TOL = 1e-17          # term size that ends a step's sums
+TAYLOR_MAX_TERMS = 400      # ends non-finite sums; a finite step needs < ~80
+STEP_PHASE = 2.0            # |h| sqrt|V| per step: growth or cancellation <= e^2
+MAX_STEPS = 20_000          # ~|end - start|/2 far out: anchors at eta^2/5, |eta| <~ 300
 
 
 def _segment_hits_cut(start: complex, end: complex) -> bool:
@@ -247,16 +239,64 @@ def _segment_hits_cut(start: complex, end: complex) -> bool:
     return False
 
 
+def _taylor_transfer(ll1: complex, eta: complex, rho0: complex, h: complex):
+    """(ua, ub, pa, pb): u(rho0 + h) = ua u + ub u', u'(rho0 + h) = pa u + pb u'.
+
+    About rho0 the scaled coefficients d_k = c_k h^k of rho^2 u'' =
+    (l(l+1) + 2 eta rho - rho^2) u obey, with Q = l(l+1) + 2 eta rho0 - rho0^2,
+
+        rho0^2 (k+2)(k+1) d_{k+2} = -2 rho0 h (k+1) k d_{k+1}
+            + (Q - k(k-1)) h^2 d_k + (2 eta - 2 rho0) h^3 d_{k-1} - h^4 d_{k-2}.
+
+    The sums of d_k and k d_k for (d_0, d_1) = (1, 0) and (0, 1) map
+    (u, h u') across the step.
+    """
+    r = h / rho0
+    r2 = r * r
+    c_lin = -2.0 * r
+    c_q = (ll1 + (2.0 * eta - rho0) * rho0) * r2
+    c_1 = 2.0 * (eta - rho0) * h * r2
+    c_2 = -(h * r) ** 2
+    am2 = am1 = bm2 = bm1 = 0j
+    a0, a1, b0, b1 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    ua, pa, ub, pb = 1.0 + 0j, 0j, 1.0 + 0j, 1.0 + 0j   # sums through k = 1
+    prev = math.inf
+    for k in range(TAYLOR_MAX_TERMS):
+        lin = c_lin * ((k + 1) * k)
+        diag = c_q - (k * (k - 1)) * r2
+        inv = 1.0 / ((k + 2) * (k + 1))
+        an = (lin * a1 + diag * a0 + c_1 * am1 + c_2 * am2) * inv
+        bn = (lin * b1 + diag * b0 + c_1 * bm1 + c_2 * bm2) * inv
+        ua += an
+        ub += bn
+        pa += (k + 2) * an
+        pb += (k + 2) * bn
+        # two consecutive small terms, as one basis starts with d_2 = 0; the
+        # sums form a matrix of unit determinant, so the largest is >= 1/sqrt 2
+        size = (k + 2) * (abs(an) + abs(bn))
+        if size <= TAYLOR_TOL and prev <= TAYLOR_TOL:
+            return ua, ub * h, pa / h, pb
+        prev = size
+        am2, am1, a0, a1 = am1, a0, a1, an
+        bm2, bm1, b0, b1 = bm1, b0, b1, bn
+    raise ConvergenceError(
+        f"Taylor series about {rho0!r} did not converge in "
+        f"{TAYLOR_MAX_TERMS} terms")
+
+
 def ode_propagate(ell: complex, eta: complex, start: complex,
-                  quad_start: CoulombQuad, end: complex, *,
-                  rtol: float = 1e-12, max_steps: int = 2_000_000) -> CoulombQuad:
+                  quad_start: CoulombQuad, end: complex) -> CoulombQuad:
     """Propagate (F, F', G, G') from ``start`` to ``end`` along the straight
     segment between them.
 
-    Both solutions satisfy u'' = (l(l+1)/rho^2 + 2 eta/rho - 1) u; the
-    blocks evolve independently, so errors in one pair never leak into the
-    other.  Local error is controlled per pair relative to the pair
-    magnitude at the given ``rtol``.
+    Both solutions satisfy u'' = (l(l+1)/rho^2 + 2 eta/rho - 1) u, whose
+    polynomial coefficients give every Taylor coefficient about a point by
+    a recurrence (Jorba & Zou, Exp. Math. 14, 2005).  Each step sums the
+    series of two basis solutions to a transfer matrix and applies it to
+    both pairs, so errors in one pair never leak into the other.  A step
+    is at most |rho0|/2, inside the radius of convergence |rho0|, and at
+    most STEP_PHASE/sqrt|V(rho0)|.  Raises ConvergenceError after
+    MAX_STEPS steps and OverflowSignal when the state stops being finite.
     """
     ell = complex(ell)
     eta = complex(eta)
@@ -266,63 +306,27 @@ def ode_propagate(ell: complex, eta: complex, start: complex,
         raise PathError(
             f"segment {start!r} -> {end!r} meets the origin or the negative "
             f"real axis")
-    if start == end:
-        return quad_start
 
-    delta = end - start
     ll1 = ell * (ell + 1.0)
-    eta2 = 2.0 * eta
-
-    def rhs(t: float, y):
-        rho = start + t * delta
-        v = ((ll1 / rho + eta2) / rho - 1.0) * delta
-        return (delta * y[1], v * y[0], delta * y[3], v * y[2])
-
-    y = (quad_start.f, quad_start.fp, quad_start.g, quad_start.gp)
-    t = 0.0
-    h = min(0.1, 0.5 / (1.0 + abs(delta)))
-    k1 = rhs(t, y)
-    steps = 0
-    while t < 1.0:
-        if steps > max_steps:
-            raise ConvergenceError("ODE step budget exhausted")
-        steps += 1
-        if t + h > 1.0:
-            h = 1.0 - t
-        ks = [k1]
-        for i in range(1, 7):
-            acc = [0.0 + 0j] * 4
-            row = _DP_A[i]
-            for j, aij in enumerate(row):
-                if aij:
-                    kj = ks[j]
-                    for m in range(4):
-                        acc[m] += aij * kj[m]
-            yi = tuple(y[m] + h * acc[m] for m in range(4))
-            ks.append(rhs(t + h * sum(row) if i < 6 else t + h, yi))
-        y_new = yi            # stage 7 argument is the 5th-order solution
-        k_new = ks[6]
-        err = [0.0 + 0j] * 4
-        for j, ej in enumerate(_DP_E):
-            if ej:
-                kj = ks[j]
-                for m in range(4):
-                    err[m] += ej * kj[m]
-        sc_f = rtol * max(abs(y[0]), abs(y[1]), abs(y_new[0]), abs(y_new[1]), 1e-290)
-        sc_g = rtol * max(abs(y[2]), abs(y[3]), abs(y_new[2]), abs(y_new[3]), 1e-290)
-        e2 = ((abs(h * err[0]) / sc_f) ** 2 + (abs(h * err[1]) / sc_f) ** 2
-              + (abs(h * err[2]) / sc_g) ** 2 + (abs(h * err[3]) / sc_g) ** 2)
-        enorm = math.sqrt(e2 / 4.0)
-        if enorm <= 1.0:
-            t += h
-            y = y_new
-            k1 = k_new
-        factor = 0.9 * (enorm + 1e-30) ** -0.2
-        h *= min(5.0, max(0.2, factor))
-        if h < 1e-14:
-            raise StepUnderflowError(
-                f"step size collapsed at t={t:.6f} along {start!r} -> {end!r}")
-    return CoulombQuad(f=y[0], fp=y[1], g=y[2], gp=y[3])
+    f, fp, g, gp = quad_start.f, quad_start.fp, quad_start.g, quad_start.gp
+    rho = start
+    for _ in range(MAX_STEPS + 1):
+        if rho == end:
+            return CoulombQuad(f=f, fp=fp, g=g, gp=gp)
+        rest = end - rho
+        v = (ll1 / rho + 2.0 * eta) / rho - 1.0
+        step = min(0.5 * abs(rho), STEP_PHASE / math.sqrt(max(1.0, abs(v))))
+        last = abs(rest) <= step
+        h = rest if last else step * rest / abs(rest)
+        ua, ub, pa, pb = _taylor_transfer(ll1, eta, rho, h)
+        f, fp = ua * f + ub * fp, pa * f + pb * fp
+        g, gp = ua * g + ub * gp, pa * g + pb * gp
+        if not all(map(cmath.isfinite, (f, fp, g, gp))):
+            raise OverflowSignal(
+                f"propagated solution left the double range near {rho!r}")
+        rho = end if last else rho + h
+    raise ConvergenceError(
+        f"ODE step budget of {MAX_STEPS} exhausted along {start!r} -> {end!r}")
 
 
 # ---------------------------------------------------------------------------

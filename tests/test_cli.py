@@ -220,6 +220,19 @@ class TestMain:
                      "--out", str(tmp_path / "f.csv")])
         assert code == 2
 
+    def test_huge_eta_exact_sweep_no_traceback(self, tmp_path, capsys):
+        out = tmp_path / "h.csv"
+        code = main(["sweep", "--backend", "exact", "--eta-re", "1000",
+                     "--rho-min", "1", "--rho-max", "2", "--rho-points", "2",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == 0:
+            assert all("nan" in r for r in _read_rows(out))
+        else:
+            assert code == 2
+            assert err.startswith("numerical failure:")
+
     def test_selfcheck_exit_0(self, capsys):
         assert main(["selfcheck"]) == 0
 

@@ -2,13 +2,16 @@
 
 import cmath
 import math
+import time
 
 import pytest
 
 from coulwkb.errors import (
     AsymptoticFailureError,
     ConvergenceError,
+    CoulwkbError,
     DomainError,
+    OverflowSignal,
     PathError,
     PoleError,
 )
@@ -159,6 +162,39 @@ class TestOdePropagate:
             a, b = getattr(back, name), getattr(start, name)
             assert abs(a - b) <= 1e-9 * max(abs(b), 1.0)
 
+    @pytest.mark.parametrize("ell, eta, arg", [
+        (2, 10, 0.0), (2 + 1j, 10 - 1j, 1.2), (2 + 1j, 10 - 1j, -1.2)])
+    def test_inward_h_against_mpmath(self, ell, eta, arg):
+        # H^w with w = sign Im rho (H+ on the real axis) grows inward, the
+        # direction the planner integrates; on the lower ray H+ would decay
+        import mpmath as mp
+
+        from coulwkb.exactref import _omega_star
+        mp.mp.dps = 30
+        unit = cmath.exp(1j * arg)
+        om = _omega_star(unit)
+        h0, hp0, _ = h_asymptotic(ComplexParams(ell, eta, 50.0 * unit, om))
+        mell, meta = mp.mpc(ell), mp.mpc(eta)
+
+        def mp_h(r):
+            return (mp.coulombg(mell, meta, r)
+                    + 1j * om * mp.coulombf(mell, meta, r))
+
+        for r in (1.0, 5.0, 0.05):
+            rho = r * unit
+            q = ode_propagate(ell, eta, 50.0 * unit,
+                              CoulombQuad(h0, hp0, 0, 0), rho)
+            mrho = mp.mpc(rho.real, rho.imag)
+            h, hp = complex(mp_h(mrho)), complex(mp.diff(mp_h, mrho))
+            scale = max(abs(h), abs(hp))
+            assert abs(q.f - h) <= 1e-12 * scale
+            assert abs(q.fp - hp) <= 1e-12 * scale
+
+    def test_overflow_is_typed(self):
+        # inward through the eta = 300 barrier the solution passes 1e308
+        with pytest.raises(OverflowSignal):
+            ode_propagate(0, 300, 700.0, CoulombQuad(1, 1, 0, 0), 5.0)
+
     def test_path_validation(self):
         q = CoulombQuad(1, 0, 0, 1)
         with pytest.raises(PathError):
@@ -196,6 +232,14 @@ class TestExactQuad:
         f1, fp1, _ = f_series(p)
         assert abs(q.f - f1) <= 1e-7 * abs(f1)
         assert q.wronskian_error() <= 1e-8
+
+    def test_huge_eta_raises_typed_error(self):
+        # the anchor sits at eta^2/5 = 2e5: the step budget runs out (or the
+        # state overflows) within seconds instead of hanging or returning nan
+        t0 = time.perf_counter()
+        with pytest.raises(CoulwkbError):
+            exact_quad(ComplexParams(0, 1e3, 1))
+        assert time.perf_counter() - t0 < 30.0
 
     def test_reality_real_params(self):
         for rho in (0.5, 5.0, 15.0, 25.0, 45.0, 60.0):
